@@ -56,7 +56,8 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/** micro_codec's value families: scalar, 3-byte, 2-byte, random. */
+/** The micro experiment's value families: scalar, 3-byte, 2-byte,
+ *  random. */
 std::vector<Word>
 pattern(unsigned family, unsigned lanes)
 {
@@ -153,7 +154,7 @@ codecRows(Table &t, SimdLevel level)
            Table::num(bytesPerIter * double(kIters) / secs / 1e9, 3),
            Table::num(secs, 3)});
 
-    // Compress (the software packer of Table 3 / micro_codec).
+    // Compress (the software packer of Table 3 / the micro experiment).
     std::size_t bytes = 0;
     t0 = Clock::now();
     for (std::size_t i = 0; i < kIters / 4; ++i)

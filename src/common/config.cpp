@@ -1,6 +1,7 @@
 #include "config.hpp"
 
 #include "bit_utils.hpp"
+#include "fnv.hpp"
 #include "log.hpp"
 #include "table.hpp"
 
@@ -75,12 +76,7 @@ template <typename T>
 void
 mixField(std::uint64_t &h, const T &v)
 {
-    unsigned char bytes[sizeof(T)];
-    __builtin_memcpy(bytes, &v, sizeof(T));
-    for (unsigned i = 0; i < sizeof(T); ++i) {
-        h ^= bytes[i];
-        h *= 0x100000001b3ull;
-    }
+    h = fnv1a(&v, sizeof(T), h);
 }
 
 } // namespace
@@ -88,7 +84,7 @@ mixField(std::uint64_t &h, const T &v)
 std::uint64_t
 ArchConfig::fingerprint() const
 {
-    std::uint64_t h = 0xcbf29ce484222325ull; // FNV offset basis
+    std::uint64_t h = kFnv1aBasis;
 
     mixField(h, static_cast<std::uint32_t>(mode));
     mixField(h, numSms);

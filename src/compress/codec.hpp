@@ -29,7 +29,7 @@
  * common/codec_id.*, implement the interface (usually by delegating to
  * the array-model helpers), and add one line to the registry table in
  * codec_registry.cpp — the conformance suite (test_codec_registry.cpp)
- * and the fig_codec_shootout bench pick it up automatically.
+ * and `gscalar bench --only=shootout` pick it up automatically.
  *
  * Blob format of encode()/decode() (all codecs):
  *

@@ -4,6 +4,7 @@
 #include <memory>
 #include <sstream>
 
+#include "common/fnv.hpp"
 #include "common/log.hpp"
 #include "health.hpp"
 
@@ -50,18 +51,6 @@ mix64(std::uint64_t x)
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     return x ^ (x >> 31);
-}
-
-std::uint64_t
-hashString(std::string_view s)
-{
-    // FNV-1a, same flavour as the serialization checksum.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char c : s) {
-        h ^= std::uint8_t(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
 }
 
 thread_local int t_suppress_depth = 0;
@@ -150,7 +139,7 @@ FaultInjector::configure(const std::string &specList, std::string *error)
 
         auto armed = std::make_unique<Armed>();
         armed->spec = std::move(s);
-        armed->siteHash = hashString(armed->spec.site) ^
+        armed->siteHash = fnv1a(armed->spec.site) ^
                           mix64(std::uint64_t(armed->spec.kind) + 1);
         parsed.push_back(std::move(armed));
     }
@@ -272,7 +261,7 @@ stuckArrayFault(unsigned sm, unsigned bank, unsigned array)
     const std::uint64_t coord = (std::uint64_t(sm) << 32) ^
                                 (std::uint64_t(bank) << 16) ^ array;
     const std::uint64_t h =
-        mix64(spec->seed ^ hashString("rf") ^ mix64(coord));
+        mix64(spec->seed ^ fnv1a("rf") ^ mix64(coord));
     return double(h >> 11) * 0x1.0p-53 < spec->rate;
 }
 

@@ -1,12 +1,10 @@
 /**
  * @file
  * Codec-framework experiments: the software encode/decode
- * micro-benchmark ("micro", driver micro_codec) and the codec
- * shootout ("shootout", driver fig_codec_shootout). Both register
- * with inDefaultRun = false, so the default `gscalar bench` text
- * keeps reproducing docs/bench_reference_output.txt byte for byte
- * while `--only micro` / `--only shootout` (or the driver binaries)
- * run them on demand.
+ * micro-benchmark ("micro") and the codec shootout ("shootout"). Both
+ * register with inDefaultRun = false, so the default `gscalar bench`
+ * text keeps reproducing docs/bench_reference_output.txt byte for byte
+ * while `--only micro` / `--only shootout` run them on demand.
  */
 
 #include "experiments.hpp"

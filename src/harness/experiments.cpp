@@ -643,61 +643,54 @@ buildScalarBankAblation(ExperimentEngine &eng, const ArchConfig &base)
 const std::vector<Experiment> &
 experiments()
 {
-    // Bench-driver (alphabetical binary name) order: this is exactly
-    // the order tests/run_golden.cmake concatenates driver output in,
-    // so `gscalar bench` reproduces the golden reference byte for
-    // byte.
+    // Reference order: `gscalar bench` emits the default entries in
+    // exactly this sequence, so its stdout reproduces
+    // docs/bench_reference_output.txt byte for byte.
     static const std::vector<Experiment> registry = {
-        {"bankcount", "Sec 4.1", "ablation_bank_count",
+        {"bankcount", "Sec 4.1",
          "RF bank count scaling: single scalar bank vs per-bank BVRs",
          buildBankCountAblation},
-        {"half", "Sec 3.2/4.3", "ablation_half_register",
+        {"half", "Sec 3.2/4.3",
          "half-register vs whole-register compression trade-off",
          buildHalfRegisterAblation},
-        {"banks", "Sec 4.1", "ablation_scalar_banks",
-         "prior-work scalar RF bank count vs G-Scalar",
+        {"banks", "Sec 4.1", "prior-work scalar RF bank count vs G-Scalar",
          buildScalarBankAblation},
-        {"occupancy", "Sec 6", "ablation_scalar_occupancy",
+        {"occupancy", "Sec 6",
          "scalar execution shortening dispatch occupancy",
          buildOccupancyAblation},
-        {"smovcompiler", "Sec 3.3", "ablation_smov_compiler",
+        {"smovcompiler", "Sec 3.3",
          "special-move overhead: hardware vs compiler-assisted",
          buildSmovCompilerAblation},
-        {"warpwidth", "Sec 4.3/6", "ablation_warp_width",
-         "warp width (32 vs 64) vs scalar benefit",
+        {"warpwidth", "Sec 4.3/6", "warp width (32 vs 64) vs scalar benefit",
          buildWarpWidthAblation},
-        {"fig1", "Fig. 1", "fig01_divergence_mix",
-         "divergent and divergent-scalar instruction mix", buildFig1},
-        {"fig8", "Fig. 8", "fig08_rf_distribution",
-         "RF access distribution for operand values", buildFig8},
-        {"fig9", "Fig. 9", "fig09_scalar_eligibility",
-         "instructions eligible for scalar execution", buildFig9},
-        {"fig10", "Fig. 10", "fig10_warp_size",
-         "half-scalar eligible share vs warp size", buildFig10},
-        {"fig11", "Fig. 11", "fig11_power_efficiency",
-         "normalized power efficiency (IPC/W) and IPC", buildFig11},
-        {"fig12", "Fig. 12", "fig12_rf_power",
-         "normalized RF dynamic power", buildFig12},
-        {"shootout", "Sec 5.2/5.3", "fig_codec_shootout",
+        {"fig1", "Fig. 1", "divergent and divergent-scalar instruction mix",
+         buildFig1},
+        {"fig8", "Fig. 8", "RF access distribution for operand values",
+         buildFig8},
+        {"fig9", "Fig. 9", "instructions eligible for scalar execution",
+         buildFig9},
+        {"fig10", "Fig. 10", "half-scalar eligible share vs warp size",
+         buildFig10},
+        {"fig11", "Fig. 11", "normalized power efficiency (IPC/W) and IPC",
+         buildFig11},
+        {"fig12", "Fig. 12", "normalized RF dynamic power", buildFig12},
+        {"shootout", "Sec 5.2/5.3",
          "codec shootout: ratio, RF energy and IPC per codec",
          buildCodecShootout, /*inDefaultRun=*/false},
-        {"micro", "Sec 3.2", "micro_codec",
-         "software encode/decode micro-benchmark per codec",
-         buildMicroCodec, /*inDefaultRun=*/false},
-        {"affine", "Sec 6", "stat_affine_opportunity",
-         "affine register writes vs scalar ones",
+        {"micro", "Sec 3.2",
+         "software encode/decode micro-benchmark per codec", buildMicroCodec,
+         /*inDefaultRun=*/false},
+        {"affine", "Sec 6", "affine register writes vs scalar ones",
          buildAffineOpportunity},
-        {"compiler", "Sec 6", "stat_compiler_scalar",
+        {"compiler", "Sec 6",
          "static compiler scalarization vs dynamic detection",
          buildCompilerScalarComparison},
-        {"ratio", "Sec 5.3", "stat_compression_ratio",
-         "compression ratio: byte-mask vs BDI",
+        {"ratio", "Sec 5.3", "compression ratio: byte-mask vs BDI",
          buildCompressionRatio},
-        {"smov", "Sec 3.3", "stat_special_move_overhead",
-         "special-move dynamic instruction overhead",
+        {"smov", "Sec 3.3", "special-move dynamic instruction overhead",
          buildSpecialMoveOverhead},
-        {"table3", "Table 3", "table3_codec_cost",
-         "hardware cost model (codec area/latency)", buildTable3},
+        {"table3", "Table 3", "hardware cost model (codec area/latency)",
+         buildTable3},
     };
     return registry;
 }
@@ -709,110 +702,6 @@ findExperiment(const std::string &name)
         if (name == e.name)
             return &e;
     return nullptr;
-}
-
-// ---- legacy string wrappers ----------------------------------------------
-
-std::string
-runFig1(const ArchConfig &base)
-{
-    return buildFig1(defaultEngine(), base).text;
-}
-
-std::string
-runFig8(const ArchConfig &base)
-{
-    return buildFig8(defaultEngine(), base).text;
-}
-
-std::string
-runFig9(const ArchConfig &base)
-{
-    return buildFig9(defaultEngine(), base).text;
-}
-
-std::string
-runFig10(const ArchConfig &base)
-{
-    return buildFig10(defaultEngine(), base).text;
-}
-
-std::string
-runFig11(const ArchConfig &base)
-{
-    return buildFig11(defaultEngine(), base).text;
-}
-
-std::string
-runFig12(const ArchConfig &base)
-{
-    return buildFig12(defaultEngine(), base).text;
-}
-
-std::string
-runTable3()
-{
-    return describeHardwareCost();
-}
-
-std::string
-runCompressionRatio(const ArchConfig &base)
-{
-    return buildCompressionRatio(defaultEngine(), base).text;
-}
-
-std::string
-runSpecialMoveOverhead(const ArchConfig &base)
-{
-    return buildSpecialMoveOverhead(defaultEngine(), base).text;
-}
-
-std::string
-runCompilerScalarComparison(const ArchConfig &base)
-{
-    return buildCompilerScalarComparison(defaultEngine(), base).text;
-}
-
-std::string
-runSmovCompilerAblation(const ArchConfig &base)
-{
-    return buildSmovCompilerAblation(defaultEngine(), base).text;
-}
-
-std::string
-runOccupancyAblation(const ArchConfig &base)
-{
-    return buildOccupancyAblation(defaultEngine(), base).text;
-}
-
-std::string
-runAffineOpportunity(const ArchConfig &base)
-{
-    return buildAffineOpportunity(defaultEngine(), base).text;
-}
-
-std::string
-runBankCountAblation(const ArchConfig &base)
-{
-    return buildBankCountAblation(defaultEngine(), base).text;
-}
-
-std::string
-runWarpWidthAblation(const ArchConfig &base)
-{
-    return buildWarpWidthAblation(defaultEngine(), base).text;
-}
-
-std::string
-runHalfRegisterAblation(const ArchConfig &base)
-{
-    return buildHalfRegisterAblation(defaultEngine(), base).text;
-}
-
-std::string
-runScalarBankAblation(const ArchConfig &base)
-{
-    return buildScalarBankAblation(defaultEngine(), base).text;
 }
 
 } // namespace gs

@@ -6,7 +6,7 @@
  * table cells behind it, and the underlying per-run counters — and
  * hands it to a pluggable ResultSink. Three sinks ship: human text,
  * JSON (one document per experiment, stable key order) and CSV,
- * selected by --format= on `gscalar bench` and every bench driver.
+ * selected by --format= on `gscalar bench`.
  */
 
 #ifndef GSCALAR_OBS_RESULT_HPP

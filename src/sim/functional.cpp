@@ -80,10 +80,11 @@ Word
 aluOp(Opcode op, Word a, Word b, Word c)
 {
     switch (op) {
-      case Opcode::IADD: return Word(asInt(a) + asInt(b));
-      case Opcode::ISUB: return Word(asInt(a) - asInt(b));
-      case Opcode::IMUL: return Word(asInt(a) * asInt(b));
-      case Opcode::IMAD: return Word(asInt(a) * asInt(b) + asInt(c));
+      // Two's-complement wraparound: computed in Word, never int32.
+      case Opcode::IADD: return a + b;
+      case Opcode::ISUB: return a - b;
+      case Opcode::IMUL: return a * b;
+      case Opcode::IMAD: return a * b + c;
       case Opcode::IDIV:
         if (b == 0 || (asInt(a) == INT32_MIN && asInt(b) == -1))
             return b == 0 ? 0 : a;
@@ -94,7 +95,7 @@ aluOp(Opcode op, Word a, Word b, Word c)
         return Word(asInt(a) % asInt(b));
       case Opcode::IMIN: return Word(std::min(asInt(a), asInt(b)));
       case Opcode::IMAX: return Word(std::max(asInt(a), asInt(b)));
-      case Opcode::IABS: return Word(std::abs(asInt(a)));
+      case Opcode::IABS: return asInt(a) < 0 ? 0u - a : a;
       case Opcode::AND: return a & b;
       case Opcode::OR: return a | b;
       case Opcode::XOR: return a ^ b;

@@ -7,18 +7,6 @@
 namespace gs
 {
 
-std::uint64_t
-fnv1a(const void *data, std::size_t n)
-{
-    const unsigned char *p = static_cast<const unsigned char *>(data);
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 namespace
 {
 

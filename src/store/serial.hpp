@@ -35,6 +35,7 @@
 
 #include "common/config.hpp"
 #include "common/events.hpp"
+#include "common/fnv.hpp"
 #include "harness/runner.hpp"
 #include "power/energy_model.hpp"
 
@@ -66,9 +67,6 @@ inline constexpr std::uint16_t kSerialVersion = 1;
 
 /** Header magic: "GSB1". */
 inline constexpr std::uint32_t kSerialMagic = 0x31425347u;
-
-/** FNV-1a 64-bit over @p n bytes (the trailer checksum). */
-std::uint64_t fnv1a(const void *data, std::size_t n);
 
 // ---- serialization -------------------------------------------------------
 

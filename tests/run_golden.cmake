@@ -1,74 +1,58 @@
-# Golden-output regression: run every deterministic bench driver in
-# alphabetical order and byte-compare the concatenated stdout against
+# Golden-output regression: run `gscalar bench` twice on one fresh
+# persistent run cache and byte-compare each stdout against
 # docs/bench_reference_output.txt. stderr (throughput, engine stats) is
-# ignored — only the figure/table content is pinned. All drivers share a
-# persistent run cache under WORK_DIR, which both speeds the sweep up
-# (the drivers overlap heavily in (workload, config) points) and
-# exercises the disk cache across processes.
+# not pinned, except that the second (warm) run must be served entirely
+# from the disk cache written by the first: this exercises the store
+# across processes and proves cold and warm output identical.
 #
 # Usage:
-#   cmake -DBENCH_DIR=<dir-with-driver-binaries>
+#   cmake -DGSCALAR=<gscalar binary>
 #         -DREFERENCE=<docs/bench_reference_output.txt>
 #         -DWORK_DIR=<scratch-dir>
 #         -P run_golden.cmake
 
-foreach(var BENCH_DIR REFERENCE WORK_DIR)
+foreach(var GSCALAR REFERENCE WORK_DIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "run_golden.cmake: ${var} not set")
     endif()
 endforeach()
 
-# micro_codec is google-benchmark timing output and thus nondeterministic;
-# every other driver is pinned.
-set(drivers
-    ablation_bank_count
-    ablation_half_register
-    ablation_scalar_banks
-    ablation_scalar_occupancy
-    ablation_smov_compiler
-    ablation_warp_width
-    fig01_divergence_mix
-    fig08_rf_distribution
-    fig09_scalar_eligibility
-    fig10_warp_size
-    fig11_power_efficiency
-    fig12_rf_power
-    stat_affine_opportunity
-    stat_compiler_scalar
-    stat_compression_ratio
-    stat_special_move_overhead
-    table3_codec_cost)
-
+file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(ENV{GS_CACHE_DIR} "${WORK_DIR}/cache")
-set(actual "${WORK_DIR}/golden_actual.txt")
-file(WRITE "${actual}" "")
 
-foreach(d ${drivers})
+foreach(pass cold warm)
+    set(actual "${WORK_DIR}/golden_${pass}.txt")
     execute_process(
-        COMMAND "${BENCH_DIR}/${d}"
-        OUTPUT_FILE "${WORK_DIR}/${d}.out"
-        ERROR_VARIABLE driver_err
+        COMMAND "${GSCALAR}" bench
+        OUTPUT_FILE "${actual}"
+        ERROR_VARIABLE bench_err
         RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)
-        message(FATAL_ERROR "${d} exited with ${rc}:\n${driver_err}")
+        message(FATAL_ERROR
+            "gscalar bench (${pass}) exited with ${rc}:\n${bench_err}")
     endif()
-    file(READ "${WORK_DIR}/${d}.out" chunk)
-    file(APPEND "${actual}" "${chunk}")
+
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files "${actual}" "${REFERENCE}"
+        RESULT_VARIABLE diff)
+    if(NOT diff EQUAL 0)
+        # Show a readable diff before failing (diff(1) exists everywhere
+        # this POSIX-only project builds).
+        execute_process(
+            COMMAND diff -u "${REFERENCE}" "${actual}"
+            OUTPUT_VARIABLE delta
+            RESULT_VARIABLE ignored)
+        message(FATAL_ERROR
+            "${pass} bench output drifted from ${REFERENCE}:\n${delta}\n"
+            "If the change is intended, regenerate the reference with "
+            "`gscalar bench > docs/bench_reference_output.txt`.")
+    endif()
 endforeach()
 
-execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files "${actual}" "${REFERENCE}"
-    RESULT_VARIABLE diff)
-if(NOT diff EQUAL 0)
-    # Show a readable diff before failing (diff(1) exists everywhere
-    # this POSIX-only project builds).
-    execute_process(
-        COMMAND diff -u "${REFERENCE}" "${actual}"
-        OUTPUT_VARIABLE delta
-        RESULT_VARIABLE ignored)
+string(FIND "${bench_err}" "engine: 0 simulations" warm_hit)
+if(warm_hit EQUAL -1)
     message(FATAL_ERROR
-        "bench output drifted from ${REFERENCE}:\n${delta}\n"
-        "If the change is intended, regenerate the reference by "
-        "running the drivers above in order and saving stdout.")
+        "warm gscalar bench simulated instead of reading the disk "
+        "cache written by the cold run:\n${bench_err}")
 endif()

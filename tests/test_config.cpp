@@ -1,11 +1,24 @@
 #include <gtest/gtest.h>
 
 #include "common/config.hpp"
+#include "common/fnv.hpp"
+#include "harness/experiments.hpp"
 
 namespace gs
 {
 namespace
 {
+
+TEST(Config, FingerprintIsPinnedFnv1a)
+{
+    // Standard FNV-1a 64 test vectors for the shared hash.
+    EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cull);
+    // Fingerprints key the run cache, the disk store and daemon
+    // coalescing: a change here orphans every stored result.
+    EXPECT_EQ(ArchConfig{}.fingerprint(), 0x266d609013c3471dull);
+    EXPECT_EQ(experimentConfig().fingerprint(), 0x266d609013c3471dull);
+}
 
 TEST(Config, DefaultsValidate)
 {

@@ -2,8 +2,11 @@
 
 #include <bit>
 #include <cmath>
+#include <vector>
 
+#include "isa/kernel_builder.hpp"
 #include "sim/functional.hpp"
+#include "sim/reference.hpp"
 
 namespace gs
 {
@@ -265,6 +268,61 @@ TEST_F(FunctionalTest, InactiveLanesUntouched)
     EXPECT_EQ(r.writeMask, 0b01u);
     EXPECT_EQ(r.dst[0], 11u);
     // Lane 1 result is unspecified, but the write mask excludes it.
+}
+
+TEST_F(FunctionalTest, SignedOverflowWrapsInBothInterpreters)
+{
+    struct Case
+    {
+        Opcode op;
+        unsigned arity;
+        Word a, b, c, want;
+    };
+    const std::vector<Case> cases = {
+        {Opcode::IADD, 2, 0x7fffffffu, 1, 0, 0x80000000u},           // MAX+1
+        {Opcode::ISUB, 2, 0x80000000u, 1, 0, 0x7fffffffu},           // MIN-1
+        {Opcode::IMUL, 2, 0x80000000u, 0xffffffffu, 0, 0x80000000u}, // MIN*-1
+        {Opcode::IMAD, 3, 0x7fffffffu, 2, 3, 1},                     // MAX*2+3
+        {Opcode::IABS, 1, 0x80000000u, 0, 0, 0x80000000u},           // |MIN|
+    };
+
+    // Cycle simulator's functional unit, lane 0.
+    for (const Case &c : cases) {
+        setReg(0, {c.a});
+        setReg(1, {c.b});
+        setReg(2, {c.c});
+        Instruction inst;
+        inst.op = c.op;
+        inst.dst = 3;
+        for (unsigned s = 0; s < c.arity; ++s)
+            inst.src[s] = RegIdx(s);
+        EXPECT_EQ(runOne(inst), c.want) << opcodeName(c.op);
+    }
+
+    // Reference interpreter: one thread stores each result in turn.
+    constexpr Addr kOut = 0x400000;
+    KernelBuilder kb("wrap");
+    const Reg a = kb.reg(), b = kb.reg(), cr = kb.reg(), d = kb.reg();
+    const Reg out = kb.reg();
+    kb.movi(out, Word(kOut));
+    for (unsigned i = 0; i < cases.size(); ++i) {
+        const Case &c = cases[i];
+        kb.movi(a, c.a);
+        kb.movi(b, c.b);
+        kb.movi(cr, c.c);
+        if (c.arity == 1)
+            kb.emit1(c.op, d, a);
+        else if (c.arity == 2)
+            kb.emit2(c.op, d, a, b);
+        else
+            kb.emit3(c.op, d, a, b, cr);
+        kb.stg(out, d, Word(i * 4));
+    }
+    GlobalMemory mem;
+    referenceExecute(kb.build(), {1, 1}, mem);
+    const std::vector<Word> got = mem.readWords(kOut, cases.size());
+    for (unsigned i = 0; i < cases.size(); ++i)
+        EXPECT_EQ(got[i], cases[i].want) << opcodeName(cases[i].op);
 }
 
 } // namespace

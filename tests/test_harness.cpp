@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "common/log.hpp"
 #include "harness/experiments.hpp"
 #include "harness/runner.hpp"
@@ -66,7 +68,12 @@ TEST(Harness, SeedChangesData)
 
 TEST(Harness, Table3Experiment)
 {
-    const std::string s = runTable3();
+    const Experiment *exp = findExperiment("table3");
+    ASSERT_NE(exp, nullptr);
+    std::ostringstream out;
+    TextSink sink(out);
+    exp->run(defaultEngine(), experimentConfig(), sink);
+    const std::string s = out.str();
     EXPECT_NE(s.find("Table 3"), std::string::npos);
     EXPECT_NE(s.find("compressor"), std::string::npos);
 }
