@@ -3,10 +3,13 @@
  * Simulator-core performance baseline. Unlike the figure/table drivers
  * this is deliberately NOT in the experiment registry: its numbers are
  * host-dependent wall-clock measurements, so it must never join the
- * golden byte-compare. It emits one gscalar.bench.v1 document with
- * three metric groups:
+ * golden byte-compare. It emits one gscalar.bench.v1 document, with
+ * the host's nproc and build type in its "host" object, and three
+ * metric groups:
  *
- *   sim-cycles/s   a representative kernel mix simulated at
+ *   sim-cycles/s   a representative kernel mix, and the memory-bound
+ *                  MV @ gscalar on its own (the run quiet-cycle
+ *                  skipping speeds up most), simulated at
  *                  --sim-threads 1/2/4 (parallel rows also prove the
  *                  counters stay byte-identical to serial)
  *   runs/s         distinct-seed runs pushed through the experiment
@@ -29,6 +32,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/log.hpp"
@@ -74,16 +78,20 @@ pattern(unsigned family, unsigned lanes)
     return v;
 }
 
-/** One kernel-mix pass at a given intra-run thread count. */
+/** One pass over @p workloads in @p mode at a given intra-run thread
+ *  count; every pass of a case must produce the same counters. */
 void
-simMixRow(Table &t, unsigned threads, std::uint64_t &checksum)
+simRow(Table &t, const std::string &name,
+       const std::vector<std::string> &workloads, ArchMode mode,
+       unsigned threads, std::uint64_t &checksum)
 {
     setSimThreads(threads);
     std::uint64_t cycles = 0;
     std::uint64_t sum = 0;
     const auto t0 = Clock::now();
-    for (const std::string &w : kMix) {
+    for (const std::string &w : workloads) {
         ArchConfig cfg;
+        cfg.mode = mode;
         const RunResult r = runWorkload(w, cfg);
         cycles += r.ev.cycles;
         sum += r.ev.cycles * 31 + r.ev.warpInsts * 7 +
@@ -93,10 +101,10 @@ simMixRow(Table &t, unsigned threads, std::uint64_t &checksum)
     if (checksum == 0)
         checksum = sum;
     else if (checksum != sum)
-        GS_FATAL("kernel mix diverged at --sim-threads ", threads,
+        GS_FATAL(name, " diverged at --sim-threads ", threads,
                  " (parallel ticking is supposed to be byte-identical)");
     std::ostringstream label;
-    label << "sim-mix threads=" << threads;
+    label << name << " threads=" << threads;
     t.row({label.str(), "sim-cycles/s",
            Table::num(double(cycles) / secs, 0),
            Table::num(secs, 3)});
@@ -202,9 +210,12 @@ main(int argc, char **argv)
     Table t("Simulator-core performance baseline (host-dependent)");
     t.row({"case", "metric", "value", "secs"});
 
-    std::uint64_t checksum = 0;
+    std::uint64_t mixSum = 0;
     for (const unsigned threads : {1u, 2u, 4u})
-        simMixRow(t, threads, checksum);
+        simRow(t, "sim-mix", kMix, ArchMode::Baseline, threads, mixSum);
+    std::uint64_t mvSum = 0;
+    for (const unsigned threads : {1u, 2u, 4u})
+        simRow(t, "sim-mv", {"MV"}, ArchMode::GScalarFull, threads, mvSum);
     engineRow(t);
     for (const SimdLevel level :
          {SimdLevel::Off, SimdLevel::Swar, SimdLevel::Avx2}) {
@@ -213,8 +224,10 @@ main(int argc, char **argv)
         codecRows(t, level);
     }
 
-    const SuiteResult result = makeSuiteResult(
-        "perf_sim_core", "perf", t);
+    SuiteResult result = makeSuiteResult("perf_sim_core", "perf", t);
+    result.host = {
+        {"nproc", std::to_string(std::thread::hardware_concurrency())},
+        {"build_type", GS_BUILD_TYPE}};
     makeResultSink(format, std::cout)->emit(result);
     return 0;
 }

@@ -154,6 +154,13 @@ JsonSink::emit(const SuiteResult &r)
     os_ << "  \"experiment\": \"" << jsonEscape(r.experiment) << "\",\n";
     os_ << "  \"tag\": \"" << jsonEscape(r.tag) << "\",\n";
     os_ << "  \"title\": \"" << jsonEscape(r.title) << "\",\n";
+    if (!r.host.empty()) {
+        os_ << "  \"host\": {";
+        for (std::size_t i = 0; i < r.host.size(); ++i)
+            os_ << (i ? ", " : "") << '"' << jsonEscape(r.host[i].first)
+                << "\": \"" << jsonEscape(r.host[i].second) << '"';
+        os_ << "},\n";
+    }
     os_ << "  \"columns\": ";
     appendStringArray(os_, r.columns);
     os_ << ",\n";

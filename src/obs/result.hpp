@@ -16,6 +16,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/table.hpp"
@@ -48,6 +49,9 @@ struct SuiteResult
     std::vector<std::vector<std::string>> rows; ///< body cells
     std::vector<RunResult> runs; ///< simulations behind the table
     std::string text;            ///< rendered ASCII table
+    /** Host facts behind a host-dependent measurement (nproc, build
+     *  type); JSON emits them as a "host" object when non-empty. */
+    std::vector<std::pair<std::string, std::string>> host;
 };
 
 /**

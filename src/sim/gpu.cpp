@@ -56,21 +56,36 @@ Gpu::launch(const Kernel &kernel, LaunchDims dims)
             runSmsParallel(raw, cfg_.maxCycles, threads, kernel.name);
         cycles = out.cycles;
         watchdog = out.watchdog;
+        smTicks_ = cycles * sms.size();
     } else {
+        // Each SM ticks only at the cycles its last tick asked for; a
+        // quiet SM sleeps to its next timed event. Due SMs still tick
+        // in SM order, so every shared access keeps the serial order.
+        std::vector<Cycle> wake(sms.size(), 0);
+        smTicks_ = 0;
         Cycle now = 0;
-        for (; now < cfg_.maxCycles; ++now) {
-            bool all_idle = true;
-            for (auto &sm : sms) {
-                sm->tick(now);
-                all_idle &= sm->idle();
+        bool all_idle = false;
+        while (now < cfg_.maxCycles) {
+            Cycle next = Sm::kNever;
+            all_idle = true;
+            for (std::size_t s = 0; s < sms.size(); ++s) {
+                if (wake[s] == now) {
+                    wake[s] = sms[s]->tick(now);
+                    ++smTicks_;
+                }
+                all_idle = all_idle && sms[s]->idle();
+                next = std::min(next, wake[s]);
             }
             if (all_idle)
                 break;
+            now = next;
         }
-        watchdog = now >= cfg_.maxCycles;
-        // On a watchdog stop the loop counter has already run past the
-        // last simulated cycle; report only cycles actually simulated.
+        watchdog = !all_idle;
+        // On a watchdog stop the loop has already run past the last
+        // simulated cycle; report only cycles actually simulated.
         cycles = watchdog ? cfg_.maxCycles : now + 1;
+        for (auto &sm : sms)
+            sm->catchUp(cycles);
     }
     if (watchdog)
         GS_WARN("kernel '", kernel.name, "' hit the ", cfg_.maxCycles,

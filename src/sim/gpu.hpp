@@ -49,10 +49,18 @@ class Gpu
     /** Attach an execution tracer (nullptr to detach). Not owned. */
     void setTracer(Tracer *t) { tracer_ = t; }
 
+    /**
+     * Sm::tick calls the last launch executed: a deterministic work
+     * counter. The serial loop skips quiet SM-cycles, so it runs well
+     * under numSms x cycles; parallel ticking runs every SM-cycle.
+     */
+    std::uint64_t lastLaunchSmTicks() const { return smTicks_; }
+
   private:
     ArchConfig cfg_;
     GlobalMemory gmem_;
     Tracer *tracer_ = nullptr;
+    std::uint64_t smTicks_ = 0;
 };
 
 } // namespace gs

@@ -107,15 +107,80 @@ Sm::idle() const
     return true;
 }
 
-void
+// --------------------------------------------------------------------------
+// Cycle stepping
+// --------------------------------------------------------------------------
+//
+// A tick that changes no state (no write-back pop, dispatch, issue, CTA
+// retire or launch) leaves every input of the next tick as it was, and
+// the timed inputs (wbAt, collectDone, pipe freeAt) compare the same
+// until the next of them falls due. Every cycle until then repeats the
+// quiet tick exactly: the same stall counters move by the same deltas
+// and the dispatch cursor advances by one. A quiet SM also touches no
+// shared state (MemorySystem, GlobalMemory, CtaDispatcher), so skipping
+// it leaves the serial SM order of every shared access intact.
+
+Cycle
 Sm::tick(Cycle now)
 {
+    catchUp(now);
+    const StallCounts before = stallCounts();
+    progress_ = false;
     writeback(now);
     dispatchReady(now);
     scheduleIssue(now);
     retireCtas(now);
     tryLaunchCtas(now);
     ++ev_.cycles;
+    if (progress_)
+        return now + 1;
+
+    const StallCounts after = stallCounts();
+    quietDelta_ = {after.schedIdle - before.schedIdle,
+                   after.scoreboard - before.scoreboard,
+                   after.ocFull - before.ocFull,
+                   after.pipeBusy - before.pipeBusy};
+    return nextTimedEvent(now);
+}
+
+void
+Sm::catchUp(Cycle end)
+{
+    if (ev_.cycles >= end)
+        return;
+    GS_ASSERT(!progress_, "skipped a cycle after a state change");
+    const Cycle k = end - ev_.cycles;
+    ev_.cycles = end;
+    ev_.schedIdleCycles += k * quietDelta_.schedIdle;
+    ev_.scoreboardStalls += k * quietDelta_.scoreboard;
+    ev_.ocFullStalls += k * quietDelta_.ocFull;
+    ev_.pipeBusyStalls += k * quietDelta_.pipeBusy;
+    ocRotate_ = unsigned((ocRotate_ + k % oc_.size()) % oc_.size());
+}
+
+Sm::StallCounts
+Sm::stallCounts() const
+{
+    return {ev_.schedIdleCycles, ev_.scoreboardStalls, ev_.ocFullStalls,
+            ev_.pipeBusyStalls};
+}
+
+Cycle
+Sm::nextTimedEvent(Cycle now) const
+{
+    Cycle next = kNever;
+    const auto consider = [&](Cycle t) {
+        if (t > now && t < next)
+            next = t;
+    };
+    for (const InFlight &f : wbQueue_)
+        consider(f.wbAt);
+    for (const InFlight &f : oc_)
+        if (f.used)
+            consider(f.collectDone);
+    for (const Pipe *p : {&alu0_, &alu1_, &sfu_, &mem_})
+        consider(p->freeAt);
+    return next;
 }
 
 // --------------------------------------------------------------------------
@@ -135,6 +200,7 @@ Sm::tryLaunchCtas(Cycle)
         if (!cta)
             return;
 
+        progress_ = true;
         slot.active = true;
         slot.ctaId = *cta;
         if (tracer_)
@@ -178,6 +244,7 @@ Sm::retireCtas(Cycle)
                 done = false;
         }
         if (done) {
+            progress_ = true;
             slot.active = false;
             for (unsigned w = 0; w < slot.numWarps; ++w)
                 warps_[slot.warpBase + w].ctaSlot = -1;
@@ -236,12 +303,12 @@ Sm::scheduleIssue(Cycle now)
             }
         }
 
-        if (!issued) {
-            if (saw_ready_warp)
-                ++ev_.scoreboardStalls;
-            else
-                ++ev_.schedIdleCycles;
-        }
+        if (issued)
+            progress_ = true;
+        else if (saw_ready_warp)
+            ++ev_.scoreboardStalls;
+        else
+            ++ev_.schedIdleCycles;
     }
 }
 
@@ -924,6 +991,7 @@ Sm::dispatchReady(Cycle now)
             continue;
         }
 
+        progress_ = true;
         const unsigned occ = occupancyCycles(f);
         pipe->freeAt = now + occ;
 
@@ -956,6 +1024,7 @@ Sm::writeback(Cycle now)
     for (std::size_t i = 0; i < wbQueue_.size();) {
         InFlight &f = wbQueue_[i];
         if (f.wbAt <= now) {
+            progress_ = true;
             boards_[f.warp].release(f.inst);
             GS_ASSERT(warpInFlight_[f.warp] > 0, "in-flight underflow");
             --warpInFlight_[f.warp];

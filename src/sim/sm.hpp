@@ -63,8 +63,25 @@ class Sm
        GlobalMemory &gmem, MemorySystem &memsys,
        CtaDispatcher &dispatcher, Tracer *tracer = nullptr);
 
-    /** Advance one core cycle. */
-    void tick(Cycle now);
+    /** tick()'s answer when no timed event is pending. */
+    static constexpr Cycle kNever = ~Cycle{0};
+
+    /**
+     * Advance one core cycle (after crediting the quiet cycles skipped
+     * since the last tick) and return the next cycle this SM must tick
+     * at. A tick that changed state asks for @p now + 1. A quiet tick
+     * would repeat exactly until the next timed event, so it asks for
+     * that event's cycle, or kNever when none is pending.
+     */
+    Cycle tick(Cycle now);
+
+    /**
+     * Credit the cycles this SM slept through so that its counters
+     * cover exactly @p end simulated cycles: each skipped cycle adds
+     * the last (quiet) tick's stall deltas and advances the dispatch
+     * cursor, as ticking it would have.
+     */
+    void catchUp(Cycle end);
 
     // ---- phase entry points for deterministic parallel ticking ------------
     // The parallel driver (sim/parallel.cpp) replays tick()'s phases
@@ -155,6 +172,19 @@ class Sm
         Cycle freeAt = 0;
     };
 
+    /** The only counters a quiet tick moves (besides `cycles`). */
+    struct StallCounts
+    {
+        EventCounts::u64 schedIdle = 0;
+        EventCounts::u64 scoreboard = 0;
+        EventCounts::u64 ocFull = 0;
+        EventCounts::u64 pipeBusy = 0;
+    };
+    StallCounts stallCounts() const;
+
+    /** Earliest wbAt, collectDone or pipe freeAt after @p now. */
+    Cycle nextTimedEvent(Cycle now) const;
+
     // ---- phases of tick() --------------------------------------------------
     void tryLaunchCtas(Cycle now);
     void scheduleIssue(Cycle now);
@@ -226,6 +256,11 @@ class Sm
 
     std::vector<unsigned> greedyWarp_; ///< per-scheduler GTO favourite
     std::vector<unsigned> rrCursor_;   ///< per-scheduler LRR cursor
+
+    /** Set by any phase that changes state: a write-back pop, a
+     *  dispatch, an issue, a CTA retire or a CTA launch. */
+    bool progress_ = false;
+    StallCounts quietDelta_; ///< per-cycle stalls of the last quiet tick
 
     EventCounts ev_;
 };

@@ -18,6 +18,17 @@ TEST(Opcode, EveryOpcodeHasTraits)
     }
 }
 
+TEST(OpcodeDeath, OutOfTableOpcodePanics)
+{
+    EXPECT_DEATH(traits(Opcode::NumOpcodes), "bad opcode");
+}
+
+TEST(Opcode, TraitsAreConstantExpressions)
+{
+    static_assert(traits(Opcode::SIN).pipe == PipeClass::SFU);
+    static_assert(kOpcodeTraits.size() == kNumOpcodes);
+}
+
 TEST(Opcode, PipeClassesMatchSection21)
 {
     EXPECT_EQ(traits(Opcode::FADD).pipe, PipeClass::ALU);

@@ -18,6 +18,7 @@
 #include "compress/byte_mask_codec.hpp"
 #include "compress/simd.hpp"
 #include "fault/fault.hpp"
+#include "gen/diff.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
 #include "isa/kernel_builder.hpp"
@@ -280,13 +281,104 @@ TEST(SimThreads, WatchdogReportsExactlyMaxCycles)
     cfg.numSms = 4;
     cfg.maxCycles = 50; // far too few for the grid: watchdog fires
 
-    setSimThreads(1);
-    Gpu serial(cfg);
-    EXPECT_EQ(serial.launch(gridKernel(), {20, 96}).cycles, 50u);
+    const auto launchRow = [&](unsigned threads) {
+        setSimThreads(threads);
+        Gpu gpu(cfg);
+        RunResult r;
+        r.ev = gpu.launch(gridKernel(), {20, 96});
+        EXPECT_EQ(r.ev.cycles, 50u) << "threads " << threads;
+        return csvRow(r);
+    };
+    EXPECT_EQ(launchRow(1), launchRow(4));
+}
 
-    setSimThreads(4);
-    Gpu par(cfg);
-    EXPECT_EQ(par.launch(gridKernel(), {20, 96}).cycles, 50u);
+// ------------------------------------------------- quiet-cycle skipping
+//
+// The serial loop skips the cycles in which an SM could only repeat a
+// quiet tick; parallel ticking still runs every SM-cycle, so it is an
+// independent oracle for the bulk-credited counters.
+
+/** An MV @ gscalar watchdog budget whose last cycle every SM skips. */
+constexpr std::uint64_t kMvQuietClamp = 87500;
+
+/** Simulated cycles and executed SM-ticks over a workload's launches. */
+struct TickedRun
+{
+    std::uint64_t cycles = 0;
+    std::uint64_t smTicks = 0;
+};
+
+/** Run every launch of @p abbr on one Gpu, counting SM-ticks. */
+TickedRun
+runCountingTicks(const std::string &abbr, const ArchConfig &cfg)
+{
+    const Workload w = makeWorkload(abbr);
+    Gpu gpu(cfg);
+    if (w.setup)
+        w.setup(gpu.memory(), cfg.seed);
+    TickedRun out;
+    for (const WorkloadLaunch &launch : w.launches) {
+        out.cycles += gpu.launch(launch.kernel, launch.dims).cycles;
+        out.smTicks += gpu.lastLaunchSmTicks();
+    }
+    return out;
+}
+
+TEST(SimThreads, QuietSkipMatchesThreadedInEveryMode)
+{
+    setQuiet(true);
+    SimThreadsAtExit restore;
+    // MV and LC skip the most SM-cycles of the suite.
+    for (const char *w : {"MV", "LC"}) {
+        for (const ArchMode m : DiffOptions{}.modes) {
+            ArchConfig cfg;
+            cfg.mode = m;
+            setSimThreads(1);
+            const std::string serial = csvRow(runWorkload(w, cfg));
+            setSimThreads(2);
+            EXPECT_EQ(serial, csvRow(runWorkload(w, cfg)))
+                << w << " @ " << archModeName(m);
+        }
+    }
+}
+
+TEST(SimThreads, WatchdogInsideQuietStretchCreditsExactly)
+{
+    setQuiet(true);
+    SimThreadsAtExit restore;
+    ArchConfig cfg;
+    cfg.mode = ArchMode::GScalarFull;
+    cfg.maxCycles = kMvQuietClamp;
+
+    // Every SM sleeps through the last simulated cycle: one cycle less
+    // of budget saves no tick, so the clamp lands in a quiet stretch.
+    setSimThreads(1);
+    ArchConfig shorter = cfg;
+    shorter.maxCycles = kMvQuietClamp - 1;
+    EXPECT_EQ(runCountingTicks("MV", shorter).smTicks,
+              runCountingTicks("MV", cfg).smTicks);
+
+    const RunResult serial = runWorkload("MV", cfg);
+    EXPECT_EQ(serial.ev.cycles, kMvQuietClamp);
+    setSimThreads(2);
+    EXPECT_EQ(csvRow(serial), csvRow(runWorkload("MV", cfg)));
+}
+
+TEST(SimThreads, QuietSkipBoundsMvSmTicks)
+{
+    setQuiet(true);
+    SimThreadsAtExit restore;
+    setSimThreads(1);
+    ArchConfig cfg;
+    cfg.mode = ArchMode::GScalarFull;
+    const TickedRun r = runCountingTicks("MV", cfg);
+    const std::uint64_t all = std::uint64_t(cfg.numSms) * r.cycles;
+    // Skipping ticks 11.2% of MV's SM-cycles; ticking all is 100%.
+    EXPECT_LE(r.smTicks * 100, all * 12)
+        << r.smTicks << " of " << all << " SM-cycles ticked";
+
+    setSimThreads(2);
+    EXPECT_EQ(runCountingTicks("MV", cfg).smTicks, all);
 }
 
 // ------------------------------------------------------------- chaos
