@@ -9,9 +9,8 @@
  *
  *   sim-cycles/s   a representative kernel mix, and the memory-bound
  *                  MV @ gscalar on its own (the run quiet-cycle
- *                  skipping speeds up most), simulated at
- *                  --sim-threads 1/2/4 (parallel rows also prove the
- *                  counters stay byte-identical to serial)
+ *                  skipping speeds up most); a launch ticks its SMs
+ *                  on one thread, so both rows read threads=1
  *   runs/s         distinct-seed runs pushed through the experiment
  *                  engine's worker pool (the cross-run GS_JOBS axis)
  *   codec GB/s     classify + compress throughput of the byte-mask
@@ -43,7 +42,6 @@
 #include "harness/engine.hpp"
 #include "harness/runner.hpp"
 #include "obs/result.hpp"
-#include "sim/parallel.hpp"
 
 namespace
 {
@@ -78,34 +76,20 @@ pattern(unsigned family, unsigned lanes)
     return v;
 }
 
-/** One pass over @p workloads in @p mode at a given intra-run thread
- *  count; every pass of a case must produce the same counters. */
+/** One timed pass over @p workloads in @p mode. */
 void
 simRow(Table &t, const std::string &name,
-       const std::vector<std::string> &workloads, ArchMode mode,
-       unsigned threads, std::uint64_t &checksum)
+       const std::vector<std::string> &workloads, ArchMode mode)
 {
-    setSimThreads(threads);
     std::uint64_t cycles = 0;
-    std::uint64_t sum = 0;
     const auto t0 = Clock::now();
     for (const std::string &w : workloads) {
         ArchConfig cfg;
         cfg.mode = mode;
-        const RunResult r = runWorkload(w, cfg);
-        cycles += r.ev.cycles;
-        sum += r.ev.cycles * 31 + r.ev.warpInsts * 7 +
-               r.ev.threadInsts;
+        cycles += runWorkload(w, cfg).ev.cycles;
     }
     const double secs = secondsSince(t0);
-    if (checksum == 0)
-        checksum = sum;
-    else if (checksum != sum)
-        GS_FATAL(name, " diverged at --sim-threads ", threads,
-                 " (parallel ticking is supposed to be byte-identical)");
-    std::ostringstream label;
-    label << name << " threads=" << threads;
-    t.row({label.str(), "sim-cycles/s",
+    t.row({name + " threads=1", "sim-cycles/s",
            Table::num(double(cycles) / secs, 0),
            Table::num(secs, 3)});
 }
@@ -114,7 +98,6 @@ simRow(Table &t, const std::string &name,
 void
 engineRow(Table &t)
 {
-    setSimThreads(1);
     ExperimentEngine engine(0); // 0 = defaultJobs (GS_JOBS / --jobs)
     const unsigned kRuns = 8;
     std::vector<std::shared_future<RunResult>> futures;
@@ -196,8 +179,7 @@ main(int argc, char **argv)
             if (!f)
                 GS_FATAL("unknown --format '", a.substr(9), "'");
             format = *f;
-        } else if (a == "--jobs" || a == "-j" || a == "--fault" ||
-                   a == "--sim-threads") {
+        } else if (a == "--jobs" || a == "-j" || a == "--fault") {
             ++i; // value consumed by initHarness
         } else if (a == "--cache" || a.rfind("--fault=", 0) == 0) {
             // consumed by initHarness
@@ -210,12 +192,8 @@ main(int argc, char **argv)
     Table t("Simulator-core performance baseline (host-dependent)");
     t.row({"case", "metric", "value", "secs"});
 
-    std::uint64_t mixSum = 0;
-    for (const unsigned threads : {1u, 2u, 4u})
-        simRow(t, "sim-mix", kMix, ArchMode::Baseline, threads, mixSum);
-    std::uint64_t mvSum = 0;
-    for (const unsigned threads : {1u, 2u, 4u})
-        simRow(t, "sim-mv", {"MV"}, ArchMode::GScalarFull, threads, mvSum);
+    simRow(t, "sim-mix", kMix, ArchMode::Baseline);
+    simRow(t, "sim-mv", {"MV"}, ArchMode::GScalarFull);
     engineRow(t);
     for (const SimdLevel level :
          {SimdLevel::Off, SimdLevel::Swar, SimdLevel::Avx2}) {

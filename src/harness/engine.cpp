@@ -14,7 +14,6 @@
 #include "compress/simd.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
-#include "sim/parallel.hpp"
 
 namespace gs
 {
@@ -466,12 +465,6 @@ initHarness(int argc, char **argv)
                      "' is not a valid worker count (want an integer in "
                      "[1, 4096])");
     }
-    if (const char *env = std::getenv("GS_SIM_THREADS")) {
-        if (!parseSimThreadsValue(env))
-            GS_FATAL("GS_SIM_THREADS='", env,
-                     "' is not a valid thread count (want an integer in "
-                     "[1, 4096])");
-    }
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         if (a == "--jobs" || a == "-j") {
@@ -482,15 +475,6 @@ initHarness(int argc, char **argv)
                 GS_FATAL(a, " wants an integer in [1, 4096], got '",
                          argv[i], "'");
             setDefaultJobs(*v);
-        } else if (a == "--sim-threads") {
-            if (i + 1 >= argc)
-                GS_FATAL(a, " needs a value");
-            const std::optional<unsigned> v =
-                parseSimThreadsValue(argv[++i]);
-            if (!v)
-                GS_FATAL(a, " wants an integer in [1, 4096], got '",
-                         argv[i], "'");
-            setSimThreads(*v);
         } else if (a == "--codec") {
             if (i + 1 >= argc)
                 GS_FATAL("--codec needs a value (", codecIdList(), ")");

@@ -277,9 +277,8 @@ std::optional<unsigned> parseJobsValue(const std::string &s);
 
 /**
  * Standard harness-binary prologue: silence warn()/inform(), validate
- * GS_JOBS / GS_SIM_THREADS / GS_SIMD / GS_FAULT / GS_CODEC, and honour
- * trailing `--jobs N` / `-j N` (worker-pool size), `--sim-threads N`
- * (intra-run SM threads; sim/parallel.hpp), `--codec NAME` (RF
+ * GS_JOBS / GS_SIMD / GS_FAULT / GS_CODEC, and honour trailing
+ * `--jobs N` / `-j N` (worker-pool size), `--codec NAME` (RF
  * compression codec; common/codec_id.hpp), `--cache` (persistent run
  * cache at $GS_CACHE_DIR or the default cache directory) and
  * `--fault SPEC` flags. Malformed values are fatal with a clear

@@ -159,7 +159,7 @@ sregValue(SReg s, unsigned lane, const SregContext &ctx)
 
 ExecResult
 executeFunctional(const Instruction &inst, WarpState &warp, LaneMask mask,
-                  const SregContext &ctx, GmemTxn &gmem,
+                  const SregContext &ctx, GlobalMemory &gmem,
                   std::span<Word> shared)
 {
     ExecResult r;

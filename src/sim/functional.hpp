@@ -46,26 +46,13 @@ struct ExecResult
 
 /**
  * Execute @p inst for the lanes of @p mask. Loads read and stores write
- * @p gmem or @p shared immediately (program order per warp). The GmemTxn
- * view either writes through (serial ticking) or defers stores to a
- * per-cycle log (parallel ticking); either way per-warp program order
- * is preserved.
+ * @p gmem or @p shared immediately (program order per warp).
  *
  * @param shared this CTA's shared-memory segment (word granular)
  */
 ExecResult executeFunctional(const Instruction &inst, WarpState &warp,
                              LaneMask mask, const SregContext &ctx,
-                             GmemTxn &gmem, std::span<Word> shared);
-
-/** Convenience overload: execute against bare memory (write-through). */
-inline ExecResult
-executeFunctional(const Instruction &inst, WarpState &warp, LaneMask mask,
-                  const SregContext &ctx, GlobalMemory &gmem,
-                  std::span<Word> shared)
-{
-    GmemTxn txn(gmem);
-    return executeFunctional(inst, warp, mask, ctx, txn, shared);
-}
+                             GlobalMemory &gmem, std::span<Word> shared);
 
 } // namespace gs
 

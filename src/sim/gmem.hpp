@@ -12,7 +12,6 @@
 #include <cstring>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -47,75 +46,6 @@ class GlobalMemory
     const Page *pageIfPresent(Addr addr) const;
 
     std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
-};
-
-/**
- * An SM's view of global memory. Direct by default (serial ticking:
- * every access goes straight to the backing GlobalMemory). In deferred
- * mode (parallel ticking) stores are buffered into a per-cycle write
- * log and loads snoop that log newest-first before falling back to the
- * backing store, which preserves program order *within* the SM while
- * other SMs issue concurrently; the parallel driver commits the logs
- * in SM order at the end of the cycle so the backing memory takes
- * writes in exactly the serial order. The read log exists only to let
- * the driver detect cross-SM same-cycle read/write overlap.
- */
-class GmemTxn
-{
-  public:
-    explicit GmemTxn(GlobalMemory &mem) : mem_(&mem) {}
-
-    /** Buffer stores per cycle (parallel ticking) instead of writing
-     *  through. Turning it off with a non-empty log is a bug. */
-    void setDeferred(bool on) { deferred_ = on; }
-    bool deferred() const { return deferred_; }
-
-    Word
-    readWord(Addr addr)
-    {
-        if (deferred_) {
-            reads_.push_back(addr);
-            for (auto it = writes_.rbegin(); it != writes_.rend(); ++it)
-                if (it->first == addr)
-                    return it->second;
-        }
-        return mem_->readWord(addr);
-    }
-
-    void
-    writeWord(Addr addr, Word value)
-    {
-        if (deferred_) {
-            writes_.emplace_back(addr, value);
-            return;
-        }
-        mem_->writeWord(addr, value);
-    }
-
-    /** Word addresses read this cycle (deferred mode only). */
-    const std::vector<Addr> &readLog() const { return reads_; }
-
-    /** Stores buffered this cycle, in program order. */
-    const std::vector<std::pair<Addr, Word>> &writeLog() const
-    {
-        return writes_;
-    }
-
-    /** Apply the write log to the backing memory and clear both logs. */
-    void
-    commit()
-    {
-        for (const auto &[a, v] : writes_)
-            mem_->writeWord(a, v);
-        writes_.clear();
-        reads_.clear();
-    }
-
-  private:
-    GlobalMemory *mem_;
-    bool deferred_ = false;
-    std::vector<Addr> reads_;
-    std::vector<std::pair<Addr, Word>> writes_;
 };
 
 } // namespace gs

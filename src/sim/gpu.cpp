@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/log.hpp"
-#include "parallel.hpp"
 #include "sm.hpp"
 
 namespace gs
@@ -36,57 +35,34 @@ Gpu::launch(const Kernel &kernel, LaunchDims dims)
                                            dims, gmem_, memsys,
                                            dispatcher, tracer_));
 
-    // More threads than SMs buys nothing; a tracer observes the exact
-    // serial interleaving, so tracing forces the serial path.
-    unsigned threads = std::min<unsigned>(resolveSimThreads(),
-                                          cfg_.numSms);
-    if (tracer_ != nullptr)
-        threads = 1;
-
-    Cycle cycles = 0;
-    bool watchdog = false;
-    if (threads > 1 && cfg_.maxCycles > 0) {
-        std::vector<Sm *> raw;
-        raw.reserve(sms.size());
-        for (auto &sm : sms) {
-            sm->setDeferredGmem(true);
-            raw.push_back(sm.get());
-        }
-        const ParallelLaunchOutcome out =
-            runSmsParallel(raw, cfg_.maxCycles, threads, kernel.name);
-        cycles = out.cycles;
-        watchdog = out.watchdog;
-        smTicks_ = cycles * sms.size();
-    } else {
-        // Each SM ticks only at the cycles its last tick asked for; a
-        // quiet SM sleeps to its next timed event. Due SMs still tick
-        // in SM order, so every shared access keeps the serial order.
-        std::vector<Cycle> wake(sms.size(), 0);
-        smTicks_ = 0;
-        Cycle now = 0;
-        bool all_idle = false;
-        while (now < cfg_.maxCycles) {
-            Cycle next = Sm::kNever;
-            all_idle = true;
-            for (std::size_t s = 0; s < sms.size(); ++s) {
-                if (wake[s] == now) {
-                    wake[s] = sms[s]->tick(now);
-                    ++smTicks_;
-                }
-                all_idle = all_idle && sms[s]->idle();
-                next = std::min(next, wake[s]);
+    // Each SM ticks only at the cycles its last tick asked for; a quiet
+    // SM sleeps to its next timed event. Due SMs still tick in SM
+    // order, so every shared access keeps the serial order.
+    std::vector<Cycle> wake(sms.size(), 0);
+    smTicks_ = 0;
+    Cycle now = 0;
+    bool all_idle = false;
+    while (now < cfg_.maxCycles) {
+        Cycle next = Sm::kNever;
+        all_idle = true;
+        for (std::size_t s = 0; s < sms.size(); ++s) {
+            if (wake[s] == now) {
+                wake[s] = sms[s]->tick(now);
+                ++smTicks_;
             }
-            if (all_idle)
-                break;
-            now = next;
+            all_idle = all_idle && sms[s]->idle();
+            next = std::min(next, wake[s]);
         }
-        watchdog = !all_idle;
-        // On a watchdog stop the loop has already run past the last
-        // simulated cycle; report only cycles actually simulated.
-        cycles = watchdog ? cfg_.maxCycles : now + 1;
-        for (auto &sm : sms)
-            sm->catchUp(cycles);
+        if (all_idle)
+            break;
+        now = next;
     }
+    const bool watchdog = !all_idle;
+    // On a watchdog stop the loop has already run past the last
+    // simulated cycle; report only cycles actually simulated.
+    const Cycle cycles = watchdog ? cfg_.maxCycles : now + 1;
+    for (auto &sm : sms)
+        sm->catchUp(cycles);
     if (watchdog)
         GS_WARN("kernel '", kernel.name, "' hit the ", cfg_.maxCycles,
                 "-cycle watchdog; results are partial");

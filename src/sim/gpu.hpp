@@ -51,8 +51,8 @@ class Gpu
 
     /**
      * Sm::tick calls the last launch executed: a deterministic work
-     * counter. The serial loop skips quiet SM-cycles, so it runs well
-     * under numSms x cycles; parallel ticking runs every SM-cycle.
+     * counter. The loop skips quiet SM-cycles, so it runs well under
+     * numSms x cycles, the count of ticking every SM every cycle.
      */
     std::uint64_t lastLaunchSmTicks() const { return smTicks_; }
 

@@ -24,7 +24,7 @@ Sm::Sm(const ArchConfig &cfg, unsigned sm_id, const Kernel &kernel,
        GlobalMemory &gmem, MemorySystem &memsys,
        CtaDispatcher &dispatcher, Tracer *tracer)
     : cfg_(cfg), smId_(sm_id), kernel_(kernel), analysis_(analysis),
-      dims_(dims), tracer_(tracer), gmem_(gmem), gtxn_(gmem),
+      dims_(dims), tracer_(tracer), gmem_(gmem),
       memsys_(memsys), dispatcher_(dispatcher),
       geo_{cfg.warpSize, cfg.checkGranularity},
       l1_(cfg.l1Bytes, cfg.l1Assoc, cfg.lineBytes)
@@ -51,7 +51,7 @@ Sm::Sm(const ArchConfig &cfg, unsigned sm_id, const Kernel &kernel,
 
     // rf:stuck-array manufacturing faults: the stuck set is a pure
     // hash of (seed, SM, bank, array), fixed before the first cycle
-    // and identical at any --jobs/--sim-threads.
+    // and identical at any --jobs.
     stuckArraysPerBank_.assign(cfg.numBanks, 0);
     for (unsigned b = 0; b < cfg.numBanks; ++b) {
         for (unsigned a = 0; a < geo_.byteArrays(); ++a) {
@@ -692,7 +692,7 @@ Sm::issueWarp(unsigned w, Cycle now)
         shared = std::span<Word>(slots_[unsigned(ws.ctaSlot)].shared);
 
     const ExecResult res =
-        executeFunctional(inst, ws, exec_mask, sctx, gtxn_, shared);
+        executeFunctional(inst, ws, exec_mask, sctx, gmem_, shared);
 
     // ---- bookkeeping ---------------------------------------------------------
     ++ev_.issuedInsts;

@@ -83,43 +83,6 @@ class Sm
      */
     void catchUp(Cycle end);
 
-    // ---- phase entry points for deterministic parallel ticking ------------
-    // The parallel driver (sim/parallel.cpp) replays tick()'s phases
-    // across threads: writeback and issue/retire run concurrently
-    // (SM-local state only), dispatch and commit/launch run in an
-    // SM-ordered rolling handoff so the MemorySystem, GlobalMemory and
-    // CtaDispatcher see accesses in exactly the serial order.
-
-    /** Phase P1 (parallel): retire written-back packets. */
-    void phaseWriteback(Cycle now) { writeback(now); }
-
-    /** Phase P2 (SM-ordered): dispatch collectors, touching the shared
-     *  MemorySystem in serial SM order. */
-    void phaseDispatch(Cycle now) { dispatchReady(now); }
-
-    /** Phase P3 (parallel): issue + retire CTAs; global-memory stores
-     *  go to the per-SM write log (deferred mode). */
-    void phaseIssueRetire(Cycle now)
-    {
-        scheduleIssue(now);
-        retireCtas(now);
-    }
-
-    /** Phase P4 (SM-ordered): commit the write log in serial WAW
-     *  order, then fetch at most one CTA, then count the cycle. */
-    void phaseCommitLaunch(Cycle now)
-    {
-        gtxn_.commit();
-        tryLaunchCtas(now);
-        ++ev_.cycles;
-    }
-
-    /** Buffer global-memory stores per cycle (parallel ticking). */
-    void setDeferredGmem(bool on) { gtxn_.setDeferred(on); }
-
-    /** This SM's global-memory view (parallel driver: logs + commit). */
-    const GmemTxn &gmemTxn() const { return gtxn_; }
-
     /** No resident CTAs, none fetchable, and no in-flight work. */
     bool idle() const;
 
@@ -214,7 +177,6 @@ class Sm
     LaunchDims dims_;
     Tracer *tracer_ = nullptr;
     GlobalMemory &gmem_;
-    GmemTxn gtxn_; ///< this SM's (possibly deferred) view of gmem_
     MemorySystem &memsys_;
     CtaDispatcher &dispatcher_;
 

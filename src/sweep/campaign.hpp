@@ -8,7 +8,7 @@
  *
  * Determinism contract: the final aggregate is computed in point-index
  * order from counters only (never wall clock), so it is byte-identical
- * at any --jobs / --sim-threads, across daemon vs in-process
+ * at any --jobs, across daemon vs in-process
  * scheduling, and across a --resume after SIGKILL versus an
  * uninterrupted run.
  *

@@ -108,6 +108,7 @@ TEST(FaultSpecParse, MalformedSpecsKeepPreviousConfig)
         "engine:throw",           // missing rate
         "engine:throw:0.5:1:2",   // too many fields
         "gpu:throw:0.5",          // unknown site
+        "sim:slow:1",             // removed site
         "engine:segfault:0.5",    // unknown kind
         "engine:throw:1.5",       // rate above 1
         "engine:throw:-0.1",      // negative rate

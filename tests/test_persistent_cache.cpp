@@ -141,7 +141,15 @@ TEST(PersistentCache, VersionAndHelpExitZero)
         EXPECT_NE(slurp(out).find(std::string("usage: gscalar ") + cmd),
                   std::string::npos)
             << cmd;
+        // A launch ticks on one thread: no help offers --sim-threads.
+        EXPECT_EQ(slurp(out).find("--sim-threads"), std::string::npos)
+            << cmd;
     }
+    EXPECT_EQ(help.find("--sim-threads"), std::string::npos);
+    // ...and the stale flag is an error, not silently swallowed by a
+    // left-over passthrough list.
+    EXPECT_NE(runCli("", "run BT --sim-threads 2", out, err), 0);
+    EXPECT_NE(runCli("", "bench --sim-threads 2", out, err), 0);
     EXPECT_NE(runCli("", "nonsense --help", out, err), 0);
     // The sweep help documents its crash-recovery contract.
     ASSERT_EQ(runCli("", "sweep --help", out, err), 0);

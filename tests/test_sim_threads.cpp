@@ -1,8 +1,9 @@
 /**
  * @file
- * Determinism contract of intra-run SM threading (sim/parallel.hpp)
- * and the codec's cpu-dispatch seam (compress/simd.hpp): every thread
- * count and every SIMD level must produce byte-identical results —
+ * Determinism of the simulator's tick loop (SimThreads, DenseTickOracle)
+ * and of the codec's cpu-dispatch seam (SimdDispatch). Gpu::launch
+ * skips quiet SM-cycles; the dense-tick oracle (dense_tick.hpp) ticks
+ * every SM every cycle, and both must produce byte-identical results.
  * csvRow covers every event counter and power component, so equality
  * there is bit-level determinism of the whole simulation.
  */
@@ -11,19 +12,19 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "compress/byte_mask_codec.hpp"
 #include "compress/simd.hpp"
-#include "fault/fault.hpp"
+#include "dense_tick.hpp"
 #include "gen/diff.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
 #include "isa/kernel_builder.hpp"
 #include "sim/gpu.hpp"
-#include "sim/parallel.hpp"
 #include "workloads/workload.hpp"
 
 namespace gs
@@ -31,22 +32,10 @@ namespace gs
 namespace
 {
 
-/** Restore the --sim-threads default (env consult) on scope exit. */
-struct SimThreadsAtExit
-{
-    ~SimThreadsAtExit() { setSimThreads(0); }
-};
-
 /** Restore the auto-detected SIMD level on scope exit. */
 struct SimdLevelAtExit
 {
     ~SimdLevelAtExit() { clearSimdLevelOverride(); }
-};
-
-/** Disarm the global fault injector on scope exit. */
-struct DisarmAtExit
-{
-    ~DisarmAtExit() { faultInjector().disarm(); }
 };
 
 /** out[gtid] = gtid + 7: every thread stores a distinct word, so the
@@ -70,23 +59,6 @@ gridKernel()
     kb.iaddi(addr, addr, 0x100000);
     kb.stg(addr, v);
     return kb.build();
-}
-
-// ---------------------------------------------------------------- parsing
-
-TEST(SimThreads, ParseAcceptsStrictPositiveIntegers)
-{
-    EXPECT_EQ(parseSimThreadsValue("1"), 1u);
-    EXPECT_EQ(parseSimThreadsValue("4"), 4u);
-    EXPECT_EQ(parseSimThreadsValue("4096"), 4096u);
-}
-
-TEST(SimThreads, ParseRejectsEverythingElse)
-{
-    for (const char *bad : {"", "0", "4097", "99999", "abc", "2x",
-                            " 2", "2 ", "+2", "-2", "0x2", "2.0"})
-        EXPECT_FALSE(parseSimThreadsValue(bad).has_value())
-            << "'" << bad << "' should be rejected";
 }
 
 TEST(SimdDispatch, ParseAcceptsKnownLevels)
@@ -194,80 +166,40 @@ TEST(SimdDispatch, AllLevelsAgreeOnCompressedBytes)
 
 // ----------------------------------------------------- sim-core determinism
 
-TEST(SimThreads, ParallelGpuMatchesSerialMemoryAndCounters)
+TEST(SimThreads, DenseTickMatchesMemoryAndCounters)
 {
     setQuiet(true);
-    SimThreadsAtExit restore;
     ArchConfig cfg;
     cfg.numSms = 4;
 
-    setSimThreads(1);
-    Gpu serial(cfg);
-    const EventCounts ref = serial.launch(gridKernel(), {20, 96});
+    Gpu gpu(cfg);
+    const EventCounts ref = gpu.launch(gridKernel(), {20, 96});
 
-    for (const unsigned threads : {2u, 4u}) {
-        setSimThreads(threads);
-        Gpu par(cfg);
-        const EventCounts got = par.launch(gridKernel(), {20, 96});
-        EXPECT_EQ(ref.cycles, got.cycles) << "threads " << threads;
-        EXPECT_EQ(ref.warpInsts, got.warpInsts) << "threads " << threads;
-        EXPECT_EQ(ref.threadInsts, got.threadInsts)
-            << "threads " << threads;
-        for (unsigned g = 0; g < 20 * 96; ++g)
-            ASSERT_EQ(serial.memory().readWord(0x100000 + 4 * g),
-                      par.memory().readWord(0x100000 + 4 * g))
-                << "threads " << threads << " gtid " << g;
-    }
-}
-
-TEST(SimThreads, FullSuiteByteIdenticalAcrossThreadCounts)
-{
-    setQuiet(true);
-    SimThreadsAtExit restore;
-
-    // Serial reference for every Table 2 workload.
-    setSimThreads(1);
-    std::vector<std::string> serial;
-    for (const std::string &w : workloadNames()) {
-        ArchConfig cfg;
-        serial.push_back(csvRow(runWorkload(w, cfg)));
-    }
-
-    for (const unsigned threads : {2u, 4u}) {
-        setSimThreads(threads);
-        const auto &names = workloadNames();
-        for (std::size_t i = 0; i < names.size(); ++i) {
-            ArchConfig cfg;
-            EXPECT_EQ(serial[i], csvRow(runWorkload(names[i], cfg)))
-                << names[i] << " diverged at --sim-threads " << threads;
-        }
-    }
+    GlobalMemory dense;
+    const EventCounts got =
+        denseLaunch(cfg, dense, gridKernel(), {20, 96}).ev;
+    EXPECT_EQ(ref.cycles, got.cycles);
+    EXPECT_EQ(ref.warpInsts, got.warpInsts);
+    EXPECT_EQ(ref.threadInsts, got.threadInsts);
+    for (unsigned g = 0; g < 20 * 96; ++g)
+        ASSERT_EQ(gpu.memory().readWord(0x100000 + 4 * g),
+                  dense.readWord(0x100000 + 4 * g))
+            << "gtid " << g;
 }
 
 TEST(SimThreads, SimdLevelsByteIdenticalEndToEnd)
 {
     setQuiet(true);
-    SimThreadsAtExit restoreThreads;
     SimdLevelAtExit restoreSimd;
 
-    setSimThreads(1);
     setSimdLevel(SimdLevel::Off);
     ArchConfig cfg;
     const std::string ref = csvRow(runWorkload("BP", cfg));
 
-    // Every SIMD level, serial.
     for (const SimdLevel l : supportedLevels()) {
         setSimdLevel(l);
         EXPECT_EQ(ref, csvRow(runWorkload("BP", cfg)))
             << "GS_SIMD=" << simdLevelName(l);
-    }
-
-    // Cross matrix: non-default SIMD level x parallel ticking.
-    setSimThreads(4);
-    for (const SimdLevel l : supportedLevels()) {
-        setSimdLevel(l);
-        EXPECT_EQ(ref, csvRow(runWorkload("BP", cfg)))
-            << "GS_SIMD=" << simdLevelName(l) << " --sim-threads 4";
     }
 }
 
@@ -276,27 +208,27 @@ TEST(SimThreads, SimdLevelsByteIdenticalEndToEnd)
 TEST(SimThreads, WatchdogReportsExactlyMaxCycles)
 {
     setQuiet(true);
-    SimThreadsAtExit restore;
     ArchConfig cfg;
     cfg.numSms = 4;
     cfg.maxCycles = 50; // far too few for the grid: watchdog fires
 
-    const auto launchRow = [&](unsigned threads) {
-        setSimThreads(threads);
-        Gpu gpu(cfg);
-        RunResult r;
-        r.ev = gpu.launch(gridKernel(), {20, 96});
-        EXPECT_EQ(r.ev.cycles, 50u) << "threads " << threads;
-        return csvRow(r);
-    };
-    EXPECT_EQ(launchRow(1), launchRow(4));
+    Gpu gpu(cfg);
+    RunResult skip;
+    skip.ev = gpu.launch(gridKernel(), {20, 96});
+    EXPECT_EQ(skip.ev.cycles, 50u);
+
+    GlobalMemory mem;
+    RunResult dense;
+    dense.ev = denseLaunch(cfg, mem, gridKernel(), {20, 96}).ev;
+    EXPECT_EQ(dense.ev.cycles, 50u);
+    EXPECT_EQ(csvRow(skip), csvRow(dense));
 }
 
 // ------------------------------------------------- quiet-cycle skipping
 //
-// The serial loop skips the cycles in which an SM could only repeat a
-// quiet tick; parallel ticking still runs every SM-cycle, so it is an
-// independent oracle for the bulk-credited counters.
+// Gpu::launch skips the cycles in which an SM could only repeat a
+// quiet tick; the dense-tick oracle runs every SM-cycle, so it checks
+// the bulk-credited counters independently.
 
 /** An MV @ gscalar watchdog budget whose last cycle every SM skips. */
 constexpr std::uint64_t kMvQuietClamp = 87500;
@@ -324,51 +256,28 @@ runCountingTicks(const std::string &abbr, const ArchConfig &cfg)
     return out;
 }
 
-TEST(SimThreads, QuietSkipMatchesThreadedInEveryMode)
-{
-    setQuiet(true);
-    SimThreadsAtExit restore;
-    // MV and LC skip the most SM-cycles of the suite.
-    for (const char *w : {"MV", "LC"}) {
-        for (const ArchMode m : DiffOptions{}.modes) {
-            ArchConfig cfg;
-            cfg.mode = m;
-            setSimThreads(1);
-            const std::string serial = csvRow(runWorkload(w, cfg));
-            setSimThreads(2);
-            EXPECT_EQ(serial, csvRow(runWorkload(w, cfg)))
-                << w << " @ " << archModeName(m);
-        }
-    }
-}
-
 TEST(SimThreads, WatchdogInsideQuietStretchCreditsExactly)
 {
     setQuiet(true);
-    SimThreadsAtExit restore;
     ArchConfig cfg;
     cfg.mode = ArchMode::GScalarFull;
     cfg.maxCycles = kMvQuietClamp;
 
     // Every SM sleeps through the last simulated cycle: one cycle less
     // of budget saves no tick, so the clamp lands in a quiet stretch.
-    setSimThreads(1);
     ArchConfig shorter = cfg;
     shorter.maxCycles = kMvQuietClamp - 1;
     EXPECT_EQ(runCountingTicks("MV", shorter).smTicks,
               runCountingTicks("MV", cfg).smTicks);
 
-    const RunResult serial = runWorkload("MV", cfg);
-    EXPECT_EQ(serial.ev.cycles, kMvQuietClamp);
-    setSimThreads(2);
-    EXPECT_EQ(csvRow(serial), csvRow(runWorkload("MV", cfg)));
+    const RunResult skip = runWorkload("MV", cfg);
+    EXPECT_EQ(skip.ev.cycles, kMvQuietClamp);
+    EXPECT_EQ(csvRow(skip), csvRow(denseRunWorkload("MV", cfg).result));
 }
 
 TEST(SimThreads, QuietSkipBoundsMvSmTicks)
 {
     setQuiet(true);
-    SimThreadsAtExit restore;
-    setSimThreads(1);
     ArchConfig cfg;
     cfg.mode = ArchMode::GScalarFull;
     const TickedRun r = runCountingTicks("MV", cfg);
@@ -376,43 +285,41 @@ TEST(SimThreads, QuietSkipBoundsMvSmTicks)
     // Skipping ticks 11.2% of MV's SM-cycles; ticking all is 100%.
     EXPECT_LE(r.smTicks * 100, all * 12)
         << r.smTicks << " of " << all << " SM-cycles ticked";
-
-    setSimThreads(2);
-    EXPECT_EQ(runCountingTicks("MV", cfg).smTicks, all);
+    EXPECT_EQ(denseRunWorkload("MV", cfg).smTicks, all);
 }
 
-// ------------------------------------------------------------- chaos
+// ------------------------------------------------- dense-tick oracle
 
-TEST(SimThreads, StragglerThreadKeepsOutputByteIdentical)
+/** One (Table 2 workload, architecture mode) pair. */
+using WorkloadMode = std::tuple<std::string, ArchMode>;
+
+class DenseTickOracle : public ::testing::TestWithParam<WorkloadMode>
+{
+};
+
+TEST_P(DenseTickOracle, CsvRowMatchesSkipLoop)
 {
     setQuiet(true);
-    SimThreadsAtExit restoreThreads;
-    DisarmAtExit disarm;
+    const auto &[workload, mode] = GetParam();
     ArchConfig cfg;
-    cfg.numSms = 4;
-
-    setSimThreads(1);
-    Gpu serial(cfg);
-    const EventCounts ref = serial.launch(gridKernel(), {16, 64});
-
-    // A sim:slow fault parks one thread 2ms inside the cycle barrier;
-    // the schedule must absorb the straggler without reordering.
-    std::string err;
-    ASSERT_TRUE(faultInjector().configure("sim:slow:0.05:42", &err))
-        << err;
-    setSimThreads(4);
-    Gpu par(cfg);
-    const EventCounts got = par.launch(gridKernel(), {16, 64});
-    EXPECT_EQ(ref.cycles, got.cycles);
-    EXPECT_EQ(ref.warpInsts, got.warpInsts);
-    EXPECT_EQ(ref.threadInsts, got.threadInsts);
-    for (unsigned g = 0; g < 16 * 64; ++g)
-        ASSERT_EQ(serial.memory().readWord(0x100000 + 4 * g),
-                  par.memory().readWord(0x100000 + 4 * g))
-            << "gtid " << g;
-    EXPECT_GT(faultInjector().injectedAt("sim"), 0u)
-        << "straggler fault never fired; chaos proof is vacuous";
+    cfg.mode = mode;
+    EXPECT_EQ(csvRow(runWorkload(workload, cfg)),
+              csvRow(denseRunWorkload(workload, cfg).result));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloadsAllModes, DenseTickOracle,
+    ::testing::Combine(::testing::ValuesIn(workloadNames()),
+                       ::testing::ValuesIn(DiffOptions{}.modes)),
+    [](const ::testing::TestParamInfo<WorkloadMode> &info) {
+        const ArchMode mode = std::get<1>(info.param);
+        std::string name = std::get<0>(info.param) + "_" +
+                           std::string(archModeName(mode));
+        for (char &c : name)
+            if (c == '-')
+                c = '_';
+        return name;
+    });
 
 } // namespace
 } // namespace gs
